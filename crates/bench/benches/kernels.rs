@@ -1,7 +1,6 @@
-//! Kernel ablation bench: the specialized join kernels (compiled plans
-//! over encoded columns, emit-side suppression, encoded lattice inserts)
-//! vs the generic tuple-at-a-time evaluator, on the two workload shapes
-//! the kernels target:
+//! Kernel bench: the join kernels (compiled plans over encoded columns,
+//! emit-side suppression, encoded lattice inserts) with and without
+//! provenance recording, on the two workload shapes the kernels target:
 //!
 //! * a lattice-heavy fixpoint — single-source shortest paths, where
 //!   almost all derivations are candidate cells for the `MinCost`
@@ -9,9 +8,11 @@
 //! * a relation-heavy fixpoint — transitive closure, where the win is
 //!   single-word join keys and emit-side membership suppression.
 //!
-//! Both paths must produce identical statistics (the strategy-parity and
-//! differential suites pin this), so the committed `BENCH_kernels.json`
-//! profiles differ only in `wall_ns` — the speedup is the point.
+//! The `_on` runs solve plainly; the `_prov` runs also instantiate every
+//! derivation's premises and keep the event log behind
+//! `Solution::explain`. Both run the same plans, so the committed
+//! `BENCH_kernels.json` profiles differ only in `wall_ns` — the ratio is
+//! the price of provenance.
 
 use flix_analyses::shortest_paths;
 use flix_analyses::workloads::graphs;
@@ -55,8 +56,8 @@ fn bench_kernels(c: &mut Criterion) {
     group.warm_up_time(std::time::Duration::from_secs(1));
     group.measurement_time(std::time::Duration::from_secs(3));
 
-    let on = Solver::new().kernels(true);
-    let off = Solver::new().kernels(false);
+    let on = Solver::new();
+    let prov = Solver::new().record_provenance(true);
 
     for &(nodes, extra) in &[(200u32, 800usize), (600, 2_400)] {
         let graph = graphs::generate(nodes, extra, 0x5907);
@@ -67,9 +68,9 @@ fn bench_kernels(c: &mut Criterion) {
             |b, program| b.iter(|| on.solve(program).expect("solves")),
         );
         group.bench_with_input(
-            BenchmarkId::new("shortest_paths_off", nodes),
+            BenchmarkId::new("shortest_paths_prov", nodes),
             &program,
-            |b, program| b.iter(|| off.solve(program).expect("solves")),
+            |b, program| b.iter(|| prov.solve(program).expect("solves")),
         );
     }
 
@@ -81,20 +82,20 @@ fn bench_kernels(c: &mut Criterion) {
             |b, program| b.iter(|| on.solve(program).expect("solves")),
         );
         group.bench_with_input(
-            BenchmarkId::new("closure_off", nodes),
+            BenchmarkId::new("closure_prov", nodes),
             &program,
-            |b, program| b.iter(|| off.solve(program).expect("solves")),
+            |b, program| b.iter(|| prov.solve(program).expect("solves")),
         );
     }
     group.finish();
 
     // Instrumented runs outside the timing loops so `--metrics-json`
-    // carries comparable on/off profiles — every statistic except
+    // carries comparable on/prov profiles — every statistic except
     // `wall_ns` must coincide pairwise.
     for &(nodes, extra) in &[(200u32, 800usize), (600, 2_400)] {
         let graph = graphs::generate(nodes, extra, 0x5907);
         let program = shortest_paths::build_single_source(&graph, 0);
-        for (label, solver) in [("on", &on), ("off", &off)] {
+        for (label, solver) in [("on", &on), ("prov", &prov)] {
             let solution = solver.solve(&program).expect("solves");
             flix_bench::metrics::record(
                 format!("kernels/shortest_paths_{label}/{nodes}"),
@@ -106,7 +107,7 @@ fn bench_kernels(c: &mut Criterion) {
     }
     for &nodes in &[120i64, 240] {
         let program = closure_program(nodes, nodes as usize * 2, 11);
-        for (label, solver) in [("on", &on), ("off", &off)] {
+        for (label, solver) in [("on", &on), ("prov", &prov)] {
             let solution = solver.solve(&program).expect("solves");
             flix_bench::metrics::record(
                 format!("kernels/closure_{label}/{nodes}"),

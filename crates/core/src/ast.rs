@@ -307,6 +307,14 @@ pub enum ProgramError {
         /// The number of values supplied.
         found: usize,
     },
+    /// A wildcard `_` is an argument of a filter, a choice, or a head
+    /// function application, where every argument needs a value.
+    WildcardArgument {
+        /// The function the wildcard is passed to.
+        function: String,
+        /// The head predicate name of the offending rule.
+        predicate: String,
+    },
 }
 
 impl fmt::Display for ProgramError {
@@ -353,6 +361,14 @@ impl fmt::Display for ProgramError {
                 f,
                 "fact for {predicate} supplies {found} values but the predicate has arity \
                  {declared}"
+            ),
+            WildcardArgument {
+                function,
+                predicate,
+            } => write!(
+                f,
+                "wildcard `_` passed to function {function} in a {predicate} rule; function \
+                 arguments must be literals or bound variables"
             ),
         }
     }

@@ -10,7 +10,7 @@
 //!
 //! Alongside the encoded columns each predicate keeps a flat row-major
 //! arena of decoded [`Value`]s — the borrowed `&[Value]` view the public
-//! iterators, the generic evaluator, and the persistence layer read.
+//! iterators, the reference evaluator, and the persistence layer read.
 //! Membership is a [`RowSet`]: an open-addressing set of `u32` row ids
 //! whose hashes and equality read the encoded columns, so a row is stored
 //! once and *referenced* by the set — not duplicated into it.
@@ -373,26 +373,6 @@ impl RelationData {
         self.indexes.contains_key(cols)
     }
 
-    /// Returns the row ids matching `key` on `cols`, or `None` if no
-    /// such index exists (the caller falls back to a scan). A key
-    /// containing values unknown to the store matches nothing.
-    pub(crate) fn probe(
-        &self,
-        cols: &[usize],
-        key: &[Value],
-        spill: &SpillTable,
-    ) -> Option<&[u32]> {
-        let index = self.indexes.get(cols)?;
-        let mut enc = Vec::with_capacity(key.len());
-        for v in key {
-            match try_encode(v, spill) {
-                Some(e) => enc.push(e),
-                None => return Some(&[]),
-            }
-        }
-        Some(index.get(enc.as_slice()).map_or(&[][..], |v| &v[..]))
-    }
-
     /// Index probe with a pre-encoded key (kernel access).
     pub(crate) fn probe_encoded(&self, cols: &[usize], key: &[u64]) -> Option<&[u32]> {
         self.indexes
@@ -685,23 +665,6 @@ impl LatticeData {
         self.indexes.contains_key(cols)
     }
 
-    pub(crate) fn probe(
-        &self,
-        cols: &[usize],
-        key: &[Value],
-        spill: &SpillTable,
-    ) -> Option<&[u32]> {
-        let index = self.indexes.get(cols)?;
-        let mut enc = Vec::with_capacity(key.len());
-        for v in key {
-            match try_encode(v, spill) {
-                Some(e) => enc.push(e),
-                None => return Some(&[]),
-            }
-        }
-        Some(index.get(enc.as_slice()).map_or(&[][..], |v| &v[..]))
-    }
-
     /// Index probe with a pre-encoded key (kernel access).
     pub(crate) fn probe_encoded(&self, cols: &[usize], key: &[u64]) -> Option<&[u32]> {
         self.indexes
@@ -971,18 +934,12 @@ mod tests {
         rel_insert(&mut r, &mut spill, &[1, 2]);
         rel_insert(&mut r, &mut spill, &[1, 3]);
         rel_insert(&mut r, &mut spill, &[2, 4]);
-        let hits = r
-            .probe(&[0], &[Value::Int(1)], &spill)
-            .expect("index exists");
+        let key = |v: i64| [try_encode(&Value::Int(v), &spill).expect("inline int")];
+        let hits = r.probe_encoded(&[0], &key(1)).expect("index exists");
         assert_eq!(hits.len(), 2);
-        let misses = r
-            .probe(&[0], &[Value::Int(9)], &spill)
-            .expect("index exists");
+        let misses = r.probe_encoded(&[0], &key(9)).expect("index exists");
         assert!(misses.is_empty());
-        assert!(
-            r.probe(&[1], &[Value::Int(2)], &spill).is_none(),
-            "no such index"
-        );
+        assert!(r.probe_encoded(&[1], &key(2)).is_none(), "no such index");
     }
 
     #[test]

@@ -228,17 +228,6 @@ impl EvalGuard<'_> {
     /// workers of a solve combined.
     const PERIOD: u32 = 256;
 
-    /// A guard that never trips (for evaluation outside a solve, e.g. the
-    /// model checker).
-    pub(crate) fn unlimited() -> EvalGuard<'static> {
-        EvalGuard {
-            deadline: None,
-            cancel: None,
-            counter: Cell::new(0),
-            period: EvalGuard::PERIOD,
-        }
-    }
-
     /// Amortised check; call on every evaluation step.
     pub(crate) fn poll(&self) -> Result<(), BudgetKind> {
         if self.deadline.is_none() && self.cancel.is_none() {

@@ -757,14 +757,9 @@ impl Solver {
         }
         tracer.record(0, SpanKind::ResumeSeed, seed_start);
 
-        // Compile the specialized join kernels against the warm database,
-        // exactly as a from-scratch solve would (provenance stays on the
-        // generic evaluator).
-        let kernels = if self.config.use_kernels && !self.config.record_provenance {
-            KernelSet::compile(program, db, self.config.ascent.is_none())
-        } else {
-            KernelSet::empty()
-        };
+        // Compile the join kernels against the warm database, exactly as
+        // a from-scratch solve would.
+        let kernels = KernelSet::compile(program, db, &self.config);
 
         // Re-run exactly the strata a change can reach, in stratum
         // order. Stratification guarantees a stratum's body predicates
@@ -997,11 +992,7 @@ impl Solver {
         }
         tracer.record(0, SpanKind::ResumeSeed, seed_start);
 
-        let kernels = if self.config.use_kernels && !self.config.record_provenance {
-            KernelSet::compile(program, db, self.config.ascent.is_none())
-        } else {
-            KernelSet::empty()
-        };
+        let kernels = KernelSet::compile(program, db, &self.config);
 
         // Phase 3: re-run the strata. A stratum re-evaluates fully when
         // any of its rule heads lost facts (the log records only first

@@ -1,12 +1,13 @@
 //! Specialized join kernels: per-rule join plans compiled once per solve
 //! and executed by a tight interpreter over the *encoded* columns of the
-//! columnar fact store.
+//! columnar fact store. This is the solver's one evaluator of the
+//! immediate-consequence operator: every rule body, every strategy, and
+//! every configuration (provenance recording included) runs through it.
 //!
-//! The generic evaluator ([`crate::solver`]'s `eval_body`) interprets the
-//! rule body per tuple: it clones [`Value`]s into an environment, unifies
-//! with dynamic dispatch over term shapes, and allocates a fresh probe
-//! key per index lookup. For the join-heavy inner loops of a fixpoint
-//! that is almost all of the solve time. A [`Plan`] moves every decision
+//! Interpreting a rule body per tuple — cloning [`Value`]s into an
+//! environment, unifying with dynamic dispatch over term shapes, and
+//! allocating a fresh probe key per index lookup — spends almost all of
+//! a fixpoint's time in the join loops. A [`Plan`] moves every decision
 //! that does not depend on the data out of the loop:
 //!
 //! * **boundness is static** — which variables are bound at each body
@@ -17,8 +18,16 @@
 //!   columns compare as encoded `u64` slots (see [`crate::database`]),
 //!   so a join key is a handful of word moves, not `Value` clones;
 //! * **lattice elements stay boxed** — cell values flow through the
-//!   `leq`/`glb` lattice operations exactly as in the generic path, so
-//!   the glb-matching semantics of §3.2 are untouched;
+//!   `leq`/`glb` lattice operations, so the glb-matching semantics of
+//!   §3.2 are untouched; choice-bound variables are boxed too, since a
+//!   chosen value need not be stored anywhere yet;
+//! * **negation is a compiled test** — a fully ground negated relation
+//!   atom is one encoded membership test, a negated lattice atom with a
+//!   ground key one cell lookup plus the §3.2 value match; only atoms
+//!   with wildcard columns scan;
+//! * **provenance is a template** — each plan carries the positive body
+//!   atoms as a premise template, instantiated at emit time only when the
+//!   solve records provenance;
 //! * **subsumed derivations are suppressed at the emit site** — a head
 //!   tuple the database already contains (or whose lattice candidate is
 //!   `⊑` its stored cell) would be materialized, re-encoded, and dropped
@@ -27,22 +36,21 @@
 //!   Suppressed tuples are still counted as derived, head functions are
 //!   still applied (panic parity), and the check is skipped for lattice
 //!   heads when ascent telemetry is on (a subsumed join must count on
-//!   its cell), so every observable statistic matches the generic path.
+//!   its cell).
 //!
-//! A body the compiler cannot specialize (negation, choice bindings) gets
-//! no plan and falls back to the generic evaluator; provenance-recording
-//! solves skip kernels entirely (they need instantiated premises). The
-//! interpreter mirrors the generic evaluator's iteration order (insertion
-//! order scans, insertion-order probe hits, identical nesting) and its
-//! probe/scan counters, so solutions, statistics, traces, and snapshot
-//! bytes are identical whichever path ran — the strategy-parity and
-//! differential suites pin this.
+//! Iteration order is fixed (insertion-order scans, insertion-order probe
+//! hits, body order nesting), so solutions, statistics, traces, provenance
+//! logs, and snapshot bytes are deterministic. The oracle the test suites
+//! compare against is [`crate::model::reference_lfp`], a separate
+//! nested-loop T_P that shares none of this code.
 
 use crate::database::{decode, try_encode, Database, PredData, Row};
 use crate::fxhash::{FxHashMap, FxHashSet};
 use crate::guard::{panic_payload, EvalGuard};
+use crate::ops::OpsPanic;
 use crate::program::{CHead, CItem, CRule, CTerm, Program};
-use crate::solver::{Derived, EvalCounters, EvalFault, Payload, ENC_KEY};
+use crate::provenance::Premise;
+use crate::solver::{Derived, EvalCounters, EvalFault, Payload, SolverConfig, ENC_KEY};
 use crate::verify::Violation;
 use crate::{LatticeOps, PredId, Value};
 use std::collections::HashSet;
@@ -58,7 +66,7 @@ enum KeySrc {
     Slot(usize),
     /// A boxed variable register, encoded at probe time. Encoding can
     /// fail when the value was never stored — then the key matches
-    /// nothing, exactly like the generic probe.
+    /// nothing.
     Boxed(usize),
 }
 
@@ -94,7 +102,8 @@ enum ValSpec {
     Meet(usize),
 }
 
-/// A function-argument source (filters and head applications).
+/// A function-argument source (filters, choices, head applications, and
+/// premise columns).
 #[derive(Clone, Debug)]
 enum ArgSrc {
     Lit(Value),
@@ -113,10 +122,9 @@ enum HeadSrc {
 }
 
 /// One step of a compiled body. Atom steps carry their whole access
-/// strategy; the counter behaviour of each step mirrors the generic
-/// evaluator exactly (ground tests and delta iteration count nothing,
-/// probes count one probe per visit, scans count one fallback per visit
-/// when an index was wanted).
+/// strategy and its counter behaviour: ground tests, negations, and delta
+/// iteration count nothing, probes count one probe per visit, scans count
+/// one fallback per visit when an index was wanted.
 #[derive(Clone, Debug)]
 enum Step {
     /// Fully ground relational atom: a membership test.
@@ -166,6 +174,36 @@ enum Step {
     },
     /// A boolean filter function over bound arguments.
     Filter { func: usize, args: Vec<ArgSrc> },
+    /// A negated atom: continue only when no stored fact matches. `val`
+    /// is the lattice value test ([`ValSpec::Wild`] for relations).
+    Negate {
+        pred: PredId,
+        test: NegTest,
+        val: ValSpec,
+    },
+    /// A choice binding: iterate the `Set` the function returns, matching
+    /// each element (or, for several `binds`, each tuple element's
+    /// components) against boxed registers. A `(slot, false)` bind binds
+    /// the register; a `(slot, true)` bind finds it already bound (a
+    /// delta variant may bind it earlier) and only continues on equality,
+    /// since `x <- f(..)` means `x ∈ f(..)` whatever the body order.
+    Choose {
+        func: usize,
+        args: Vec<ArgSrc>,
+        binds: Vec<(usize, bool)>,
+    },
+}
+
+/// How a negated atom looks for a matching fact. Every variable of a
+/// negated atom is bound (validated at build time), so only wildcards
+/// decide between the two.
+#[derive(Clone, Debug)]
+enum NegTest {
+    /// Every (key) column ground: one encoded membership test or cell
+    /// lookup.
+    Ground(Vec<KeySrc>),
+    /// Wildcard columns remain: scan with check-only row ops.
+    Scan(Vec<RowOp>),
 }
 
 /// A compiled join plan for one (rule, variant) body.
@@ -184,80 +222,81 @@ pub(crate) struct Plan {
     /// hand the insert loop a [`Payload::LatEnc`] instead of a
     /// materialized tuple, skipping decode + re-encode round trips.
     lat_enc: bool,
+    /// The positive body atoms as premise patterns (`None` columns are
+    /// wildcards), present only when the solve records provenance.
+    premises: Option<Vec<(PredId, Vec<Option<ArgSrc>>)>>,
 }
 
 /// The compiled plans of a whole program: `plans[rule]` holds the full
-/// body's plan plus one per delta variant. `None` entries fall back to
-/// the generic evaluator.
+/// body's plan plus one per delta variant.
 pub(crate) struct KernelSet {
     plans: Vec<RulePlans>,
 }
 
 struct RulePlans {
-    full: Option<Plan>,
-    variants: Vec<Option<Plan>>,
+    full: Plan,
+    variants: Vec<Plan>,
 }
 
 impl KernelSet {
-    /// A set with no plans: every lookup falls back to the generic path.
-    /// Used when kernels are disabled or provenance is being recorded.
-    pub(crate) fn empty() -> KernelSet {
-        KernelSet { plans: Vec::new() }
-    }
-
-    /// Compiles a plan for every specializable rule body. Takes the
+    /// Compiles a plan for every rule body under `config`. Takes the
     /// database mutably to encode literals up front (interning them, so
-    /// their encodings stay valid as the store grows). `lat_precheck`
-    /// permits the emit-side subsumption check for lattice heads; it must
-    /// be false when ascent telemetry is on, because a subsumed join
-    /// still counts against its cell's join counter there.
-    pub(crate) fn compile(program: &Program, db: &mut Database, lat_precheck: bool) -> KernelSet {
+    /// their encodings stay valid as the store grows).
+    pub(crate) fn compile(
+        program: &Program,
+        db: &mut Database,
+        config: &SolverConfig,
+    ) -> KernelSet {
         let plans = program
             .rules
             .iter()
             .map(|rule| RulePlans {
-                full: compile_body(program, db, rule, &rule.body, false, lat_precheck),
+                full: compile_body(program, db, rule, &rule.body, false, config),
                 variants: rule
                     .delta_variants
                     .iter()
-                    .map(|(_, body)| compile_body(program, db, rule, body, true, lat_precheck))
+                    .map(|(_, body)| compile_body(program, db, rule, body, true, config))
                     .collect(),
             })
             .collect();
         KernelSet { plans }
     }
 
-    /// The plan for a rule evaluation, if one was compiled.
-    pub(crate) fn plan(&self, rule: usize, variant: Option<usize>) -> Option<&Plan> {
-        let entry = self.plans.get(rule)?;
+    /// The plan for a rule evaluation: the full body, or a delta variant.
+    pub(crate) fn plan(&self, rule: usize, variant: Option<usize>) -> &Plan {
+        let entry = &self.plans[rule];
         match variant {
-            None => entry.full.as_ref(),
-            Some(vi) => entry.variants.get(vi)?.as_ref(),
+            None => &entry.full,
+            Some(vi) => &entry.variants[vi],
         }
     }
 }
 
-/// Compiles one body into a [`Plan`]; `None` when the body contains an
-/// item the interpreter does not specialize (negation, choice).
+/// Compiles one body into a [`Plan`].
 fn compile_body(
     program: &Program,
     db: &mut Database,
     rule: &CRule,
     body: &[CItem],
     delta_first: bool,
-    lat_precheck: bool,
-) -> Option<Plan> {
+    config: &SolverConfig,
+) -> Plan {
     // A slot is boxed iff it ever stands in a lattice *value* position in
-    // this body: there it must flow through leq/glb as a Value. All other
-    // slots live as encoded words.
+    // this body (there it must flow through leq/glb as a Value) or is
+    // bound by a choice (the chosen value need not be stored, so it may
+    // have no encoding). All other slots live as encoded words.
     let mut boxed_class: HashSet<usize> = HashSet::new();
     for item in body {
-        if let CItem::Atom { pred, terms, .. } = item {
-            if program.decl(*pred).is_lattice() {
+        match item {
+            CItem::Atom { pred, terms, .. } | CItem::NegAtom { pred, terms }
+                if program.decl(*pred).is_lattice() =>
+            {
                 if let Some(CTerm::Var(slot)) = terms.last() {
                     boxed_class.insert(*slot);
                 }
             }
+            CItem::Choose { binds, .. } => boxed_class.extend(binds.iter().copied()),
+            _ => {}
         }
     }
 
@@ -379,13 +418,42 @@ fn compile_body(
             CItem::Filter { func, args } => {
                 steps.push(Step::Filter {
                     func: *func,
-                    args: arg_srcs(args, &boxed_class)?,
+                    args: arg_srcs(args, &boxed_class),
                 });
             }
-            // Negation needs full-relation absence semantics and choice
-            // introduces set-valued fan-out; both stay on the generic
-            // evaluator (they are rare and never join-hot).
-            CItem::NegAtom { .. } | CItem::Choose { .. } => return None,
+            CItem::NegAtom { pred, terms } => {
+                let is_lat = program.decl(*pred).is_lattice();
+                let ncols = if is_lat { terms.len() - 1 } else { terms.len() };
+                let val = match terms.last() {
+                    Some(CTerm::Lit(v)) if is_lat => ValSpec::Lit(v.clone()),
+                    Some(CTerm::Var(slot)) if is_lat => ValSpec::Meet(*slot),
+                    _ => ValSpec::Wild,
+                };
+                let ground: Vec<usize> = (0..ncols)
+                    .filter(|&col| !matches!(terms[col], CTerm::Wild))
+                    .collect();
+                let test = if ground.len() == ncols {
+                    NegTest::Ground(key_srcs(terms, &ground, &boxed_class, db))
+                } else {
+                    NegTest::Scan(row_ops(terms, ncols, &[], &bound, &boxed_class, db))
+                };
+                steps.push(Step::Negate {
+                    pred: *pred,
+                    test,
+                    val,
+                });
+            }
+            CItem::Choose { func, args, binds } => {
+                let binds = binds
+                    .iter()
+                    .map(|&slot| (slot, !bound.insert(slot)))
+                    .collect();
+                steps.push(Step::Choose {
+                    func: *func,
+                    args: arg_srcs(args, &boxed_class),
+                    binds,
+                });
+            }
         }
     }
 
@@ -393,26 +461,44 @@ fn compile_body(
         .head
         .iter()
         .map(|h| match h {
-            CHead::Lit(v) => Some(HeadSrc::Lit(v.clone(), db.encode_literal(v))),
-            CHead::Var(slot) => Some(if boxed_class.contains(slot) {
-                HeadSrc::Boxed(*slot)
-            } else {
-                HeadSrc::Slot(*slot)
-            }),
-            CHead::App(func, args) => Some(HeadSrc::App(*func, arg_srcs(args, &boxed_class)?)),
+            CHead::Lit(v) => HeadSrc::Lit(v.clone(), db.encode_literal(v)),
+            CHead::Var(slot) if boxed_class.contains(slot) => HeadSrc::Boxed(*slot),
+            CHead::Var(slot) => HeadSrc::Slot(*slot),
+            CHead::App(func, args) => HeadSrc::App(*func, arg_srcs(args, &boxed_class)),
         })
-        .collect::<Option<Vec<_>>>()?;
+        .collect::<Vec<_>>();
+
+    // Provenance: the positive atoms, instantiated at emit time.
+    let premises = config.record_provenance.then(|| {
+        body.iter()
+            .filter_map(|item| match item {
+                CItem::Atom { pred, terms, .. } => Some((
+                    *pred,
+                    terms
+                        .iter()
+                        .map(|t| match t {
+                            CTerm::Wild => None,
+                            t => Some(arg_src(t, &boxed_class)),
+                        })
+                        .collect(),
+                )),
+                _ => None,
+            })
+            .collect()
+    });
 
     let is_lattice = program.decl(rule.head_pred).is_lattice();
     let lat_enc = is_lattice && head.len() - 1 <= ENC_KEY;
-    Some(Plan {
+    Plan {
         steps,
         head_pred: rule.head_pred,
         head,
         num_slots: rule.num_vars,
-        precheck: lat_precheck || !is_lattice,
+        // A subsumed join still counts on its cell under ascent telemetry.
+        precheck: config.ascent.is_none() || !is_lattice,
         lat_enc,
-    })
+        premises,
+    }
 }
 
 /// Compiles the probe-key sources for `index_cols` (all of which are
@@ -478,18 +564,17 @@ fn row_ops(
     ops
 }
 
-fn arg_srcs(args: &[CTerm], boxed_class: &HashSet<usize>) -> Option<Vec<ArgSrc>> {
-    args.iter()
-        .map(|t| match t {
-            CTerm::Lit(v) => Some(ArgSrc::Lit(v.clone())),
-            CTerm::Var(slot) => Some(if boxed_class.contains(slot) {
-                ArgSrc::Boxed(*slot)
-            } else {
-                ArgSrc::Slot(*slot)
-            }),
-            CTerm::Wild => None,
-        })
-        .collect()
+fn arg_src(term: &CTerm, boxed_class: &HashSet<usize>) -> ArgSrc {
+    match term {
+        CTerm::Lit(v) => ArgSrc::Lit(v.clone()),
+        CTerm::Var(slot) if boxed_class.contains(slot) => ArgSrc::Boxed(*slot),
+        CTerm::Var(slot) => ArgSrc::Slot(*slot),
+        CTerm::Wild => unreachable!("ProgramBuilder::build rejects wildcard arguments"),
+    }
+}
+
+fn arg_srcs(args: &[CTerm], boxed_class: &HashSet<usize>) -> Vec<ArgSrc> {
+    args.iter().map(|t| arg_src(t, boxed_class)).collect()
 }
 
 // ---------------------------------------------------------------------------
@@ -591,9 +676,9 @@ impl KernelScratch {
     }
 }
 
-/// Executes a compiled plan, appending derivations to `out`. Mirrors the
-/// generic evaluator: same iteration order, same probe/scan counters,
-/// same fault short-circuiting.
+/// Executes a compiled plan, appending derivations to `out`. The first
+/// fault (a panicking user function or lattice operation, a tripped
+/// safety sentinel, an exhausted budget) stops the evaluation.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn run_plan(
     program: &Program,
@@ -782,8 +867,11 @@ fn delta_ops_match(ops: &[RowOp], row: &[Value], st: &mut State<'_, '_>) -> bool
     true
 }
 
-/// Matches a cell value per `val` and recurses into the next step — the
-/// compiled form of the generic `match_lattice_value`.
+/// Matches a cell value per `val` and recurses into the next step. This
+/// is the ground-instance semantics of §3.2: the atom `P(k̄, v)` holds when
+/// `v ⊑ cell(k̄)`. An unbound variable binds to the cell value (the
+/// greatest witness); a variable already bound to `w` rebinds to
+/// `w ⊓ cell`, and a `⊥` witness is dropped.
 fn apply_val(
     plan: &Plan,
     next: usize,
@@ -836,8 +924,8 @@ fn arg_value(arg: &ArgSrc, st: &State<'_, '_>) -> Value {
     }
 }
 
-/// Invokes a user function with panic isolation, like the generic
-/// evaluator's `call_user_fn`.
+/// Invokes a user function with panic isolation; a caught panic is
+/// recorded as the evaluation's fault and `None` returned.
 fn call_fn(func: usize, vals: &[Value], st: &mut State<'_, '_>) -> Option<Value> {
     let fdef = &st.program.funcs[func];
     match catch_unwind(AssertUnwindSafe(|| (fdef.body)(vals))) {
@@ -854,8 +942,8 @@ fn call_fn(func: usize, vals: &[Value], st: &mut State<'_, '_>) -> Option<Value>
 
 /// Computes the head's function applications once into `st.app_buf`, in
 /// head-column order. Returns `false` when one panicked (fault recorded).
-/// Always runs before the subsumption pre-check so a panicking transfer
-/// function fires exactly as in the generic evaluator.
+/// Always runs before the subsumption pre-check, so a panicking transfer
+/// function fires whether or not its result would be subsumed.
 fn compute_apps(plan: &Plan, st: &mut State<'_, '_>) -> bool {
     st.app_buf.clear();
     for h in &plan.head {
@@ -1019,11 +1107,11 @@ fn emit(plan: &Plan, st: &mut State<'_, '_>) {
         st.suppressed += 1;
         return;
     }
+    let premises = instantiate_premises(plan, st);
     // Lattice fast path: hand the insert loop the already-encoded key
     // instead of decoding it here just so `Database::insert` can re-encode
     // it. Falls back to the materialized tuple when a key value is not yet
-    // interned (`build_head_key` fails) so the insert path interns it
-    // exactly like the generic evaluator would.
+    // interned (`build_head_key` fails) so the insert path interns it.
     if plan.lat_enc {
         let (key_srcs, val_src) = plan.head.split_at(plan.head.len() - 1);
         if build_head_key(key_srcs, st) {
@@ -1044,7 +1132,7 @@ fn emit(plan: &Plan, st: &mut State<'_, '_>) {
                     cell,
                 },
                 rule: st.rule,
-                premises: None,
+                premises,
             });
             return;
         }
@@ -1066,8 +1154,81 @@ fn emit(plan: &Plan, st: &mut State<'_, '_>) {
         pred: plan.head_pred,
         payload: Payload::Tuple(tuple),
         rule: st.rule,
-        premises: None,
+        premises,
     });
+}
+
+/// Fills the plan's premise template from the current registers; `None`
+/// when the solve does not record provenance.
+fn instantiate_premises(plan: &Plan, st: &State<'_, '_>) -> Option<Vec<Premise>> {
+    let template = plan.premises.as_ref()?;
+    Some(
+        template
+            .iter()
+            .map(|(pred, pattern)| Premise {
+                pred: *pred,
+                pattern: pattern
+                    .iter()
+                    .map(|col| col.as_ref().map(|src| arg_value(src, st)))
+                    .collect(),
+            })
+            .collect(),
+    )
+}
+
+/// Does some stored fact match the negated atom? Negated atoms never
+/// bind: every variable is already in a register.
+fn neg_exists(
+    pred: PredId,
+    test: &NegTest,
+    val: &ValSpec,
+    st: &mut State<'_, '_>,
+) -> Result<bool, OpsPanic> {
+    match (st.db.pred(pred), test) {
+        // An unencodable key component was never stored: no match.
+        (PredData::Rel(rel), NegTest::Ground(key)) => {
+            Ok(build_key(key, st) && rel.contains_encoded(&st.key_buf))
+        }
+        (PredData::Rel(rel), NegTest::Scan(ops)) => {
+            Ok((0..rel.len() as u32).any(|id| rel_ops_match(ops, rel, id, st)))
+        }
+        (PredData::Lat(lat), NegTest::Ground(key)) => {
+            if !build_key(key, st) {
+                return Ok(false);
+            }
+            match lat.id_of_encoded(&st.key_buf) {
+                Some(id) => val_holds(val, lat.cell(id), lat.ops(), st),
+                None => Ok(false),
+            }
+        }
+        (PredData::Lat(lat), NegTest::Scan(ops)) => {
+            for id in 0..lat.len() as u32 {
+                if lat_ops_match(ops, lat, id, st) && val_holds(val, lat.cell(id), lat.ops(), st)? {
+                    return Ok(true);
+                }
+            }
+            Ok(false)
+        }
+    }
+}
+
+/// The §3.2 value match of [`apply_val`] as a pure test, for negated
+/// lattice atoms (whose value variable is always bound).
+fn val_holds(
+    val: &ValSpec,
+    cell: &Value,
+    ops: &LatticeOps,
+    st: &State<'_, '_>,
+) -> Result<bool, OpsPanic> {
+    match val {
+        ValSpec::Wild => Ok(true),
+        ValSpec::Lit(l) => ops.try_leq(l, cell),
+        ValSpec::Meet(slot) => {
+            let bound = st.boxed[*slot].as_ref().expect("statically bound");
+            Ok(!ops.is_bottom(&ops.try_glb(bound, cell)?))
+        }
+        ValSpec::Bind(_) => unreachable!("negated atoms bind nothing"),
+    }
 }
 
 fn step(plan: &Plan, i: usize, st: &mut State<'_, '_>) {
@@ -1090,8 +1251,7 @@ fn step(plan: &Plan, i: usize, st: &mut State<'_, '_>) {
             if !build_key(key, st) {
                 return;
             }
-            // Membership fast path: no probe counted, matching the
-            // generic evaluator's ground-atom test.
+            // Membership test, not an index probe: no probe counted.
             if rel.contains_encoded(&st.key_buf) {
                 step(plan, i + 1, st);
             }
@@ -1245,6 +1405,50 @@ fn step(plan: &Plan, i: usize, st: &mut State<'_, '_>) {
                 }
                 Some(Value::Bool(false)) => st.args_buf = vals,
                 Some(other) => st.fail(EvalFault::Safety(Violation::FilterNotBoolean(vals, other))),
+            }
+        }
+        Step::Negate { pred, test, val } => match neg_exists(*pred, test, val, st) {
+            Ok(false) => step(plan, i + 1, st),
+            Ok(true) => {}
+            Err(p) => st.fail(p),
+        },
+        Step::Choose { func, args, binds } => {
+            // Owned, not the shared buffer: the arguments must outlive the
+            // nested steps for a malformed-element report.
+            let vals: Vec<Value> = args.iter().map(|a| arg_value(a, st)).collect();
+            let Some(result) = call_fn(*func, &vals, st) else {
+                return;
+            };
+            let Value::Set(elems) = &result else {
+                st.fail(EvalFault::Safety(Violation::ChoiceMalformed(vals, result)));
+                return;
+            };
+            for elem in elems.iter() {
+                if st.fault.is_some() {
+                    return;
+                }
+                let items = match elem.as_tuple() {
+                    _ if binds.len() == 1 => std::slice::from_ref(elem),
+                    Some(items) if items.len() == binds.len() => items,
+                    _ => {
+                        st.fail(EvalFault::Safety(Violation::ChoiceMalformed(
+                            vals.clone(),
+                            elem.clone(),
+                        )));
+                        return;
+                    }
+                };
+                let matched = binds.iter().zip(items).all(|(&(slot, check), item)| {
+                    if check {
+                        st.boxed[slot].as_ref() == Some(item)
+                    } else {
+                        st.boxed[slot] = Some(item.clone());
+                        true
+                    }
+                });
+                if matched {
+                    step(plan, i + 1, st);
+                }
             }
         }
     }

@@ -24,8 +24,9 @@
 //!   lattice cells a query demands;
 //! * [`persist`] — crash-safe model persistence: checksummed snapshots,
 //!   a write-ahead delta log, and [`Solver::recover`];
-//! * [`model`] — the model-theoretic checker used to cross-validate
-//!   solver output against the declarative semantics of §3.2.
+//! * [`model`] — the model-theoretic checker and the reference least
+//!   fixed point used to cross-validate solver output against the
+//!   declarative semantics of §3.2.
 //!
 //! # Quickstart
 //!

@@ -17,12 +17,260 @@
 //! naïve and semi-naïve solvers must both land on a compact model that is
 //! locally minimal. (Compactness itself is enforced structurally: the
 //! database stores exactly one value per cell.)
+//!
+//! Both checks, and [`reference_lfp`], apply T_P through a *reference*
+//! implementation in this module: a plain nested-loop join over stored
+//! facts, with no index selection, budget guards, counters, provenance,
+//! or semi-naïve delta variants. It shares no code with the solver's
+//! compiled join kernels, so it is an independent oracle for them.
 
-use crate::database::{Database, PredData};
-use crate::program::Program;
-use crate::solver::{eval_rule, Solution};
+use crate::ast::ProgramError;
+use crate::database::{Database, InsertOutcome, PredData};
+use crate::program::{CHead, CItem, CRule, CTerm, Program};
+use crate::solver::{make_solution, Solution, SolveStats};
+use crate::stratify::stratify;
 use crate::{PredId, Value};
 use std::collections::HashSet;
+
+/// One application of the immediate-consequence operator T_P (§3.1)
+/// restricted to `rules`: every head fact those rules derive from the
+/// interpretation `db`, in rule order.
+///
+/// # Panics
+///
+/// Propagates a panicking user function or lattice operation, and panics
+/// on a filter returning a non-boolean or a malformed choice result —
+/// the reference has no partial result to salvage.
+pub(crate) fn reference_tp(
+    program: &Program,
+    db: &Database,
+    rules: &[usize],
+) -> Vec<(PredId, Vec<Value>)> {
+    let mut out = Vec::new();
+    for &r in rules {
+        let rule = &program.rules[r];
+        let mut tp = Tp {
+            program,
+            db,
+            rule,
+            env: vec![None; rule.num_vars],
+            out: &mut out,
+        };
+        tp.body(0);
+    }
+    out
+}
+
+/// The least fixed point of T_P over the program's facts, computed by
+/// plain iteration stratum by stratum (§3.1, §3.5): each stratum applies
+/// [`reference_tp`] to its rules and joins the result into the
+/// interpretation until nothing changes. The returned [`Solution`]
+/// carries default statistics; it exists to be compared, cell for cell,
+/// against what [`Solver`](crate::Solver) computes.
+///
+/// # Errors
+///
+/// Returns [`ProgramError::NotStratifiable`] for a program with negation
+/// in a recursive cycle.
+///
+/// # Panics
+///
+/// As [`Solver::solve`](crate::Solver::solve) would report a fault: a
+/// panicking user function or lattice operation, a non-boolean filter,
+/// or a malformed choice result.
+pub fn reference_lfp(program: &Program) -> Result<Solution, ProgramError> {
+    let strata = stratify(program)?;
+    let mut db = Database::for_program(program, false);
+    for (pred, values) in &program.facts {
+        db.insert(*pred, values.clone())
+            .expect("lattice operations of the reference model");
+    }
+    for group in &strata.rule_groups {
+        loop {
+            let mut changed = false;
+            for (pred, tuple) in reference_tp(program, &db, group) {
+                let outcome = db
+                    .insert(pred, tuple)
+                    .expect("lattice operations of the reference model");
+                changed |= !matches!(outcome, InsertOutcome::Unchanged);
+            }
+            if !changed {
+                break;
+            }
+        }
+    }
+    Ok(make_solution(
+        program,
+        db,
+        SolveStats::default(),
+        None,
+        None,
+    ))
+}
+
+/// The state of one rule's reference evaluation: the variable
+/// environment and the output.
+struct Tp<'a> {
+    program: &'a Program,
+    db: &'a Database,
+    rule: &'a CRule,
+    env: Vec<Option<Value>>,
+    out: &'a mut Vec<(PredId, Vec<Value>)>,
+}
+
+impl Tp<'_> {
+    /// Evaluates the body from item `i` on, emitting a head fact for
+    /// every satisfying assignment.
+    fn body(&mut self, i: usize) {
+        let Some(item) = self.rule.body.get(i) else {
+            self.head();
+            return;
+        };
+        match item {
+            CItem::Atom { pred, terms, .. } => {
+                for (key, cell) in facts(self.db, *pred) {
+                    let saved = self.env.clone();
+                    if self.unify(*pred, terms, key, cell) {
+                        self.body(i + 1);
+                    }
+                    self.env = saved;
+                }
+            }
+            CItem::NegAtom { pred, terms } => {
+                let saved = self.env.clone();
+                let exists = facts(self.db, *pred).into_iter().any(|(key, cell)| {
+                    let matched = self.unify(*pred, terms, key, cell);
+                    self.env.clone_from(&saved);
+                    matched
+                });
+                if !exists {
+                    self.body(i + 1);
+                }
+            }
+            CItem::Filter { func, args } => match self.call(*func, args) {
+                Value::Bool(true) => self.body(i + 1),
+                Value::Bool(false) => {}
+                other => panic!("filter returned a non-boolean: {other}"),
+            },
+            CItem::Choose { func, args, binds } => {
+                let Value::Set(elems) = self.call(*func, args) else {
+                    panic!("choice function returned a non-set");
+                };
+                // `x <- f(..)` means `x ∈ f(..)`: an already bound
+                // variable must equal the element's component.
+                for elem in elems.iter() {
+                    let items = match elem.as_tuple() {
+                        _ if binds.len() == 1 => std::slice::from_ref(elem),
+                        Some(items) if items.len() == binds.len() => items,
+                        _ => panic!(
+                            "choice element {elem} does not fit {} variables",
+                            binds.len()
+                        ),
+                    };
+                    let saved = self.env.clone();
+                    let matched =
+                        binds
+                            .iter()
+                            .zip(items)
+                            .all(|(&slot, item)| match &self.env[slot] {
+                                Some(bound) => bound == item,
+                                None => {
+                                    self.env[slot] = Some(item.clone());
+                                    true
+                                }
+                            });
+                    if matched {
+                        self.body(i + 1);
+                    }
+                    self.env = saved;
+                }
+            }
+        }
+    }
+
+    /// Matches an atom against one stored fact, binding unbound
+    /// variables. A lattice atom's value column follows §3.2: `l` matches
+    /// when `l ⊑ cell`, an unbound variable binds to the cell, and a bound
+    /// variable `w` rebinds to `w ⊓ cell` unless that is `⊥`.
+    fn unify(
+        &mut self,
+        pred: PredId,
+        terms: &[CTerm],
+        key: &[Value],
+        cell: Option<&Value>,
+    ) -> bool {
+        for (term, value) in terms.iter().zip(key) {
+            match term {
+                CTerm::Wild => {}
+                CTerm::Lit(l) => {
+                    if l != value {
+                        return false;
+                    }
+                }
+                CTerm::Var(slot) => match &self.env[*slot] {
+                    Some(bound) if bound != value => return false,
+                    Some(_) => {}
+                    None => self.env[*slot] = Some(value.clone()),
+                },
+            }
+        }
+        let Some(cell) = cell else {
+            return true;
+        };
+        let ops = self.program.decl(pred).lattice_ops().expect("lattice");
+        match terms.last().expect("lattice arity >= 1") {
+            CTerm::Wild => true,
+            CTerm::Lit(l) => ops.leq(l, cell),
+            CTerm::Var(slot) => {
+                let met = match &self.env[*slot] {
+                    None => cell.clone(),
+                    Some(bound) => ops.glb(bound, cell),
+                };
+                if ops.is_bottom(&met) {
+                    return false;
+                }
+                self.env[*slot] = Some(met);
+                true
+            }
+        }
+    }
+
+    fn value(&self, term: &CTerm) -> Value {
+        match term {
+            CTerm::Lit(v) => v.clone(),
+            CTerm::Var(slot) => self.env[*slot].clone().expect("bound variable"),
+            CTerm::Wild => unreachable!("ProgramBuilder::build rejects wildcard arguments"),
+        }
+    }
+
+    fn call(&self, func: usize, args: &[CTerm]) -> Value {
+        let vals: Vec<Value> = args.iter().map(|t| self.value(t)).collect();
+        (self.program.funcs[func].body)(&vals)
+    }
+
+    fn head(&mut self) {
+        let tuple = self
+            .rule
+            .head
+            .iter()
+            .map(|h| match h {
+                CHead::Lit(v) => v.clone(),
+                CHead::Var(slot) => self.env[*slot].clone().expect("bound head variable"),
+                CHead::App(func, args) => self.call(*func, args),
+            })
+            .collect();
+        self.out.push((self.rule.head_pred, tuple));
+    }
+}
+
+/// Every stored fact of `pred` as key columns plus, for lattices, the
+/// cell value.
+fn facts(db: &Database, pred: PredId) -> Vec<(&[Value], Option<&Value>)> {
+    match db.pred(pred) {
+        PredData::Rel(rel) => rel.rows().map(|row| (row, None)).collect(),
+        PredData::Lat(lat) => lat.iter().map(|(key, cell)| (key, Some(cell))).collect(),
+    }
+}
 
 /// Returns the first rule-head fact that the interpretation fails to
 /// satisfy, or `None` when the solution is a model of the program.
@@ -46,11 +294,8 @@ fn violation_against(program: &Program, db: &Database) -> Option<(String, Vec<Va
         }
     }
     // Every rule-derivable head must be satisfied: T_P(I) ⊑ I.
-    let mut derived = Vec::new();
-    for rule in &program.rules {
-        eval_rule(program, db, rule, None, &[], &mut derived);
-    }
-    for (pred, tuple) in derived {
+    let all: Vec<usize> = (0..program.rules.len()).collect();
+    for (pred, tuple) in reference_tp(program, db, &all) {
         if !satisfied(program, db, pred, &tuple) {
             return Some((program.decl(pred).name().to_string(), tuple));
         }

@@ -151,7 +151,7 @@ impl Program {
         let mut rules = Vec::with_capacity(raw_rules.len());
         let mut index_requests: HashMap<PredId, HashSet<Vec<usize>>> = HashMap::new();
         for raw in &raw_rules {
-            rules.push(compile_rule(raw, &preds, &mut index_requests)?);
+            rules.push(compile_rule(raw, &preds, &funcs, &mut index_requests)?);
         }
 
         Ok(Program {
@@ -250,6 +250,7 @@ fn schedule_body(items: &[BodyItem]) -> Vec<&BodyItem> {
 fn compile_rule(
     raw: &RawRule,
     preds: &[PredDecl],
+    funcs: &[FuncDef],
     index_requests: &mut HashMap<PredId, HashSet<Vec<usize>>>,
 ) -> Result<CRule, ProgramError> {
     let head_decl = &preds[raw.head.pred.0 as usize];
@@ -260,6 +261,23 @@ fn compile_rule(
             declared: head_decl.arity,
             found: raw.head.terms.len(),
         });
+    }
+    // A function is called with values: a wildcard has none to pass.
+    let calls = raw.body.iter().filter_map(|item| match item {
+        BodyItem::Filter { func, args } | BodyItem::Choose { func, args, .. } => Some((func, args)),
+        BodyItem::Atom { .. } | BodyItem::NegAtom { .. } => None,
+    });
+    let head_calls = raw.head.terms.iter().filter_map(|t| match t {
+        HeadTerm::App(func, args) => Some((func, args)),
+        HeadTerm::Var(_) | HeadTerm::Lit(_) => None,
+    });
+    for (func, args) in calls.chain(head_calls) {
+        if args.iter().any(|t| matches!(t, Term::Wildcard)) {
+            return Err(ProgramError::WildcardArgument {
+                function: funcs[func.0 as usize].name.to_string(),
+                predicate: head_name,
+            });
+        }
     }
 
     let mut scope = VarScope::new();
@@ -744,6 +762,56 @@ mod tests {
             ],
         );
         b.build().expect("choose binding makes y bound");
+    }
+
+    /// Builds `Q(..) :- P(x), <item>` with the given head and extra body
+    /// item and returns the build error.
+    fn build_err(
+        head: impl FnOnce(crate::PredId, crate::FuncId) -> Head,
+        extra: Option<fn(crate::FuncId) -> BodyItem>,
+    ) -> crate::ProgramError {
+        let mut b = ProgramBuilder::new();
+        let p = b.relation("P", 1);
+        let q = b.relation("Q", 1);
+        let f = b.function("f", |args| args[0].clone());
+        let mut body = vec![BodyItem::atom(p, [Term::var("x")])];
+        body.extend(extra.map(|item| item(f)));
+        b.rule(head(q, f), body);
+        b.build().expect_err("a wildcard argument has no value")
+    }
+
+    fn assert_wildcard_argument(err: crate::ProgramError) {
+        assert_eq!(
+            err,
+            crate::ProgramError::WildcardArgument {
+                function: "f".into(),
+                predicate: "Q".into(),
+            }
+        );
+    }
+
+    #[test]
+    fn wildcard_filter_argument_is_rejected() {
+        assert_wildcard_argument(build_err(
+            |q, _| Head::new(q, [HeadTerm::var("x")]),
+            Some(|f| BodyItem::filter(f, [Term::Wildcard])),
+        ));
+    }
+
+    #[test]
+    fn wildcard_choice_argument_is_rejected() {
+        assert_wildcard_argument(build_err(
+            |q, _| Head::new(q, [HeadTerm::var("y")]),
+            Some(|f| BodyItem::choose(f, [Term::Wildcard], "y")),
+        ));
+    }
+
+    #[test]
+    fn wildcard_head_function_argument_is_rejected() {
+        assert_wildcard_argument(build_err(
+            |q, f| Head::new(q, [HeadTerm::app(f, [Term::Wildcard])]),
+            None,
+        ));
     }
 
     #[test]

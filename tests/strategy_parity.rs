@@ -137,26 +137,30 @@ fn figure_2_dataflow_parity() {
 }
 
 // ---------------------------------------------------------------------------
-// Differential property suite: seeded random programs, every strategy ×
-// kernel combination.
+// Differential property suite: seeded random programs, every strategy,
+// against the reference least fixed point.
 //
-// The specialized join kernels promise *observational equivalence* with
-// the generic evaluator: same minimal model, same statistics (including
-// gross counters — `facts_derived`, probes, scans — within a strategy),
-// same convergence profile. Structured-random programs exercise the
-// corners the hand-written workloads miss: lattice heads at several key
-// widths (including past the kernels' inline-key width, which forces the
-// wide-key fallback), relational heads, filters, multiple seeds, and
+// `model::reference_lfp` iterates a plain nested-loop T_P per stratum; it
+// shares no code with the solver's join kernels, so agreeing with it cell
+// for cell checks the kernels' semantics rather than their consistency
+// with themselves. Structured-random programs exercise the corners the
+// hand-written workloads miss: lattice heads at several key widths
+// (including past the kernels' inline-key width, which forces the
+// wide-key fallback), relational heads, filters, negated relation atoms
+// (ground and with wildcards), negated lattice atoms, single and tuple
+// choice bindings (one of them recursive), multiple seeds, and
 // disconnected graphs.
 // ---------------------------------------------------------------------------
 
+use flix::core::model;
 use flix::lattice::rng::SmallRng;
 use flix::lattice::MinCost;
 use flix::ValueLattice;
 
 /// One random weighted digraph plus derived-predicate program. The shape
 /// is drawn from the seed: node/edge counts, weights, the lattice key
-/// width, an optional weight filter, and an optional second seed fact.
+/// width, an optional weight filter, optional negations, optional choice
+/// rules, and an optional second seed fact.
 fn random_program(seed: u64) -> Program {
     let mut rng = SmallRng::seed_from_u64(seed);
     let nodes = rng.gen_range(4i64..11);
@@ -166,11 +170,23 @@ fn random_program(seed: u64) -> Program {
         .expect("in range");
     let with_filter = rng.gen_bool(0.5);
     let two_sources = rng.gen_bool(0.4);
+    let neg_ground = rng.gen_bool(0.5);
+    let neg_wild = rng.gen_bool(0.5);
+    let neg_lattice = rng.gen_bool(0.6);
+    let choose_single = rng.gen_bool(0.5);
+    let choose_tuple = rng.gen_bool(0.5);
 
     let mut b = ProgramBuilder::new();
     let edge = b.relation("Edge", 3);
     let reach = b.relation("Reach", 1);
+    let blocked = b.relation("Blocked", 1);
+    let cut = b.relation("Cut", 2);
     let dist = b.lattice("Dist", key_width + 1, LatticeOps::of::<MinCost>());
+    let cap = b.lattice("Cap", 2, LatticeOps::of::<MinCost>());
+    let far = b.relation("Far", 1);
+    let hop = b.relation("Hop", 1);
+    let twin = b.relation("Twin", 2);
+    let pair = b.relation("Pair", 3);
     let extend = b.function("extend", |args| {
         let d = MinCost::expect_from(&args[0]);
         let c = args[1].as_int().expect("weight") as u64;
@@ -179,6 +195,17 @@ fn random_program(seed: u64) -> Program {
     let cheap = b.function("cheap", |args| {
         (args[0].as_int().expect("weight") <= 7).into()
     });
+    let step = b.function("step", move |args| {
+        let x = args[0].as_int().expect("node");
+        Value::set([((x + 1) % nodes).into(), ((2 * x) % nodes).into()])
+    });
+    let split = b.function("split", move |args| {
+        let x = args[0].as_int().expect("node");
+        Value::set([
+            Value::tuple([x.into(), ((x + 1) % nodes).into()]),
+            Value::tuple([((x + 2) % nodes).into(), x.into()]),
+        ])
+    });
 
     for _ in 0..num_edges {
         let x = rng.gen_range(0i64..nodes);
@@ -186,24 +213,45 @@ fn random_program(seed: u64) -> Program {
         let c = rng.gen_range(1i64..10);
         b.fact(edge, vec![x.into(), y.into(), c.into()]);
     }
+    for _ in 0..rng.gen_range(0..3) {
+        b.fact(blocked, vec![rng.gen_range(0i64..nodes).into()]);
+    }
+    for _ in 0..rng.gen_range(0..3) {
+        let x = rng.gen_range(0i64..nodes);
+        b.fact(cut, vec![x.into(), rng.gen_range(0i64..nodes).into()]);
+    }
+    for x in 0..nodes {
+        if rng.gen_bool(0.5) {
+            let limit = MinCost::finite(rng.gen_range(0u64..20)).to_value();
+            b.fact(cap, vec![x.into(), limit]);
+        }
+    }
     let mut sources = vec![rng.gen_range(0i64..nodes)];
     if two_sources {
         sources.push(rng.gen_range(0i64..nodes));
     }
     for &s in &sources {
         b.fact(reach, vec![s.into()]);
+        b.fact(hop, vec![s.into()]);
         let mut key: Vec<Value> = vec![Value::from(s); key_width];
         key.push(MinCost::finite(0).to_value());
         b.fact(dist, key);
     }
 
-    // Reach(y) :- Reach(x), Edge(x, y, c) [, cheap(c)].
+    // Reach(y) :- Reach(x), Edge(x, y, c) [, cheap(c)] [, !Blocked(y)]
+    //             [, !Cut(x, _)].
     let mut body = vec![
         BodyItem::atom(reach, [Term::var("x")]),
         BodyItem::atom(edge, [Term::var("x"), Term::var("y"), Term::var("c")]),
     ];
     if with_filter {
         body.push(BodyItem::filter(cheap, [Term::var("c")]));
+    }
+    if neg_ground {
+        body.push(BodyItem::not(blocked, [Term::var("y")]));
+    }
+    if neg_wild {
+        body.push(BodyItem::not(cut, [Term::var("x"), Term::Wildcard]));
     }
     b.rule(Head::new(reach, [HeadTerm::var("y")]), body);
 
@@ -223,91 +271,108 @@ fn random_program(seed: u64) -> Program {
         ],
     );
 
+    // Far(x) :- Reach(x) [, Cap(x, v)], !Dist(x, x|_…, _|limit|v) — a
+    // negated lattice atom one stratum above Dist; the value column is a
+    // wildcard, a literal, or a variable bound by a lattice atom.
+    if neg_lattice {
+        let mut body = vec![BodyItem::atom(reach, [Term::var("x")])];
+        let mut neg: Vec<Term> = vec![Term::var("x")];
+        neg.extend((1..key_width).map(|_| {
+            if rng.gen_bool(0.5) {
+                Term::var("x")
+            } else {
+                Term::Wildcard
+            }
+        }));
+        neg.push(match rng.gen_range(0u32..3) {
+            0 => Term::Wildcard,
+            1 => Term::Lit(MinCost::finite(rng.gen_range(0u64..15)).to_value()),
+            _ => {
+                body.push(BodyItem::atom(cap, [Term::var("x"), Term::var("v")]));
+                Term::var("v")
+            }
+        });
+        body.push(BodyItem::not(dist, neg));
+        b.rule(Head::new(far, [HeadTerm::var("x")]), body);
+    }
+
+    // Hop(z) :- Hop(x), z <- step(x) — recursive, so the choice runs in a
+    // delta variant too. Twin(x, z) :- Hop(x), z <- step(x), Reach(z)
+    // joins on the chosen (boxed) value.
+    if choose_single {
+        b.rule(
+            Head::new(hop, [HeadTerm::var("z")]),
+            [
+                BodyItem::atom(hop, [Term::var("x")]),
+                BodyItem::choose(step, [Term::var("x")], "z"),
+            ],
+        );
+        b.rule(
+            Head::new(twin, [HeadTerm::var("x"), HeadTerm::var("z")]),
+            [
+                BodyItem::atom(hop, [Term::var("x")]),
+                BodyItem::choose(step, [Term::var("x")], "z"),
+                BodyItem::atom(reach, [Term::var("z")]),
+            ],
+        );
+    }
+
+    // Pair(u, w, c) :- Reach(x), (u, w) <- split(x), Edge(u, w, c) — a
+    // tuple choice whose components key an index probe.
+    if choose_tuple {
+        b.rule(
+            Head::new(
+                pair,
+                [HeadTerm::var("u"), HeadTerm::var("w"), HeadTerm::var("c")],
+            ),
+            [
+                BodyItem::atom(reach, [Term::var("x")]),
+                BodyItem::choose_tuple(split, [Term::var("x")], ["u", "w"]),
+                BodyItem::atom(edge, [Term::var("u"), Term::var("w"), Term::var("c")]),
+            ],
+        );
+    }
+
     b.build().expect("the generated program is well-formed")
 }
 
-/// Solves one random program under every strategy × kernels combination
-/// and asserts cell-for-cell model equality plus statistics parity:
-/// strategy-invariant statistics across all runs, and *gross* counters
-/// (`facts_derived`, probes, scans) between the kernel and generic paths
-/// of the same strategy.
+/// Solves one random program under every strategy and asserts that each
+/// model equals the reference least fixed point cell for cell, and that
+/// the strategy-invariant statistics coincide across the strategies.
 fn assert_differential_parity(seed: u64) {
     let program = random_program(seed);
-    let configs: Vec<(&str, Solver)> = vec![
-        (
-            "naive/generic",
-            Solver::new().strategy(Strategy::Naive).kernels(false),
-        ),
-        (
-            "naive/kernels",
-            Solver::new().strategy(Strategy::Naive).kernels(true),
-        ),
-        (
-            "semi-naive/generic",
-            Solver::new().strategy(Strategy::SemiNaive).kernels(false),
-        ),
-        (
-            "semi-naive/kernels",
-            Solver::new().strategy(Strategy::SemiNaive).kernels(true),
-        ),
-        (
-            "semi-naive x4/kernels",
-            Solver::new()
-                .strategy(Strategy::SemiNaive)
-                .threads(4)
-                .kernels(true),
-        ),
-    ];
-    let runs: Vec<(&str, Solution)> = configs
+    let reference = dump(
+        &program,
+        &model::reference_lfp(&program).expect("stratifiable"),
+    );
+    let runs: Vec<(&str, Solution)> = configurations()
         .into_iter()
         .map(|(name, solver)| (name, solver.solve(&program).expect("solves")))
         .collect();
-    let (base_name, base) = &runs[0];
-    let base_dump = dump(&program, base);
-    for (name, solution) in &runs[1..] {
+    for (name, solution) in &runs {
         assert_eq!(
             dump(&program, solution),
-            base_dump,
-            "seed {seed}: {name} and {base_name} disagree on the minimal model"
+            reference,
+            "seed {seed}: {name} disagrees with the reference least fixed point"
         );
+    }
+    let (base_name, base) = &runs[0];
+    for (name, solution) in &runs[1..] {
         let stats = solution.stats();
         assert_eq!(
             stats.facts_inserted,
             base.stats().facts_inserted,
-            "seed {seed}: {name} net insertions"
+            "seed {seed}: {name} vs {base_name} net insertions"
         );
         assert_eq!(
             stats.total_facts,
             base.stats().total_facts,
-            "seed {seed}: {name} total facts"
+            "seed {seed}: {name} vs {base_name} total facts"
         );
         assert_eq!(
             stats.per_stratum,
             base.stats().per_stratum,
-            "seed {seed}: {name} convergence profile"
-        );
-    }
-    // Gross-counter parity within a strategy: the kernel interpreter must
-    // derive, probe, and scan exactly like the generic evaluator.
-    for pair in [(0usize, 1usize), (2, 3)] {
-        let (gen_name, generic) = &runs[pair.0];
-        let (ker_name, kernels) = &runs[pair.1];
-        let (g, k) = (generic.stats(), kernels.stats());
-        assert_eq!(
-            g.facts_derived, k.facts_derived,
-            "seed {seed}: {ker_name} vs {gen_name} facts_derived"
-        );
-        assert_eq!(
-            g.index_probes, k.index_probes,
-            "seed {seed}: {ker_name} vs {gen_name} index_probes"
-        );
-        assert_eq!(
-            g.scan_fallbacks, k.scan_fallbacks,
-            "seed {seed}: {ker_name} vs {gen_name} scan_fallbacks"
-        );
-        assert_eq!(
-            g.rule_evaluations, k.rule_evaluations,
-            "seed {seed}: {ker_name} vs {gen_name} rule_evaluations"
+            "seed {seed}: {name} vs {base_name} convergence profile"
         );
     }
 }
